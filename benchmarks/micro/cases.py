@@ -17,7 +17,6 @@ deployment mode the overhaul introduces.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Dict, List
 
@@ -32,15 +31,6 @@ from repro.ps.context import PSContext
 PARTITIONS = 8
 FEATURE_DIM = 16
 
-#: Worker count for the optional ``--parallel`` axis (0 = axis off).
-#: Set by :func:`run_cases`; the dataflow cases then time a third leg —
-#: the batched pipeline on a process pool — and attach ``parallel_s`` /
-#: ``parallel_speedup`` / ``host_cores`` to their results.  The speedup
-#: is only meaningful when the host has at least as many cores as
-#: workers; the runner's regression gate checks ``host_cores`` and
-#: treats undersized hosts as informational.
-PARALLEL_WORKERS = 0
-
 #: Counter prefixes embedded in the results JSON.  These are *simulated*
 #: counters — shuffle volumes, PS request counts, HDFS bytes — so for a
 #: fixed case they are bit-identical on every host, unlike the wall-clock
@@ -49,9 +39,9 @@ METRIC_PREFIXES = ("dataflow.", "ps.", "hdfs.", "net.", "serve.",
                    "streaming.", "ingest.")
 
 
-def _spark(parallel: int = 0) -> SparkContext:
+def _spark() -> SparkContext:
     cluster = ClusterConfig(num_executors=4, executor_mem_bytes=1 << 40)
-    return SparkContext(cluster, parallel=parallel)
+    return SparkContext(cluster)
 
 
 def _metrics_snapshot(ctx: SparkContext) -> Dict[str, float]:
@@ -75,7 +65,7 @@ def _pairs(n: int, key_space: int, seed: int = 0):
 REPEATS = 3
 
 
-def _time_job(job: Callable[[SparkContext], object], parallel: int = 0
+def _time_job(job: Callable[[SparkContext], object]
               ) -> tuple[float, Dict[str, float]]:
     """Best-of-N wall-clock for one pipeline; setup/teardown untimed.
 
@@ -85,7 +75,7 @@ def _time_job(job: Callable[[SparkContext], object], parallel: int = 0
     best = float("inf")
     snapshot: Dict[str, float] = {}
     for _ in range(REPEATS):
-        ctx = _spark(parallel)
+        ctx = _spark()
         try:
             t0 = time.perf_counter()
             job(ctx)
@@ -94,36 +84,6 @@ def _time_job(job: Callable[[SparkContext], object], parallel: int = 0
         finally:
             ctx.stop()
     return best, snapshot
-
-
-def _pool_leg(job: Callable[[SparkContext], object],
-              batched_s: float,
-              batched_snap: Dict[str, float]) -> Dict[str, float]:
-    """Optional third timing leg: the batched pipeline on the pool.
-
-    Returns the extra result fields, or ``{}`` when the axis is off.
-    Asserts the simulated counters match the serial batched run modulo
-    the host-side ``dataflow.pool.*`` namespace — the bench doubles as
-    an equivalence check at benchmark scale.
-    """
-    if PARALLEL_WORKERS < 2:
-        return {}
-    parallel_s, snap = _time_job(job, parallel=PARALLEL_WORKERS)
-
-    def sim_only(s: Dict[str, float]) -> Dict[str, float]:
-        return {k: v for k, v in s.items()
-                if not k.startswith("dataflow.pool.")}
-
-    if sim_only(snap) != sim_only(batched_snap):
-        raise AssertionError(
-            "pool run diverged from serial simulated counters")
-    return {
-        "parallel_s": round(parallel_s, 6),
-        "parallel_speedup": round(batched_s / parallel_s, 3)
-        if parallel_s else 0.0,
-        "parallel_workers": PARALLEL_WORKERS,
-        "host_cores": os.cpu_count() or 1,
-    }
 
 
 def _result(name: str, n: int, boxed_s: float, batched_s: float,
@@ -156,9 +116,7 @@ def case_shuffle(n: int) -> Dict:
 
     boxed_s, _ = _time_job(boxed)
     batched_s, snap = _time_job(batched)
-    out = _result("shuffle", n, boxed_s, batched_s, snap)
-    out.update(_pool_leg(batched, batched_s, snap))
-    return out
+    return _result("shuffle", n, boxed_s, batched_s, snap)
 
 
 def case_reduce_by_key(n: int) -> Dict:
@@ -177,9 +135,7 @@ def case_reduce_by_key(n: int) -> Dict:
 
     boxed_s, _ = _time_job(boxed)
     batched_s, snap = _time_job(batched)
-    out = _result("reduce_by_key", n, boxed_s, batched_s, snap)
-    out.update(_pool_leg(batched, batched_s, snap))
-    return out
+    return _result("reduce_by_key", n, boxed_s, batched_s, snap)
 
 
 def case_pagerank_iter(n: int) -> Dict:
@@ -200,9 +156,7 @@ def case_pagerank_iter(n: int) -> Dict:
 
     boxed_s, _ = _time_job(boxed)
     batched_s, snap = _time_job(batched)
-    out = _result("pagerank_iter", n, boxed_s, batched_s, snap)
-    out.update(_pool_leg(batched, batched_s, snap))
-    return out
+    return _result("pagerank_iter", n, boxed_s, batched_s, snap)
 
 
 def case_graphsage_minibatch(n: int) -> Dict:
@@ -442,7 +396,7 @@ def case_streaming_window(n: int) -> Dict:
 
 #: name -> (case_fn, quick_n, full_n).  Full-size counts are DS1/DS2-shaped
 #: runs (paper Table I scale relative to the simulator): a million-record
-#: shuffle is routine once the columnar paths and the pool carry it.
+#: shuffle is routine once the columnar paths carry it.
 CASES: Dict[str, tuple] = {
     "shuffle": (case_shuffle, 20_000, 1_000_000),
     "reduce_by_key": (case_reduce_by_key, 20_000, 1_000_000),
@@ -455,21 +409,11 @@ CASES: Dict[str, tuple] = {
 
 
 def run_cases(quick: bool = True,
-              names: List[str] | None = None,
-              parallel: int = 0) -> List[Dict]:
-    """Run the selected cases; returns one result dict per case.
-
-    ``parallel >= 2`` turns on the pool axis for the dataflow cases
-    (see :data:`PARALLEL_WORKERS`).
-    """
-    global PARALLEL_WORKERS
-    PARALLEL_WORKERS = int(parallel)
-    try:
-        out = []
-        for name, (fn, quick_n, full_n) in CASES.items():
-            if names and name not in names:
-                continue
-            out.append(fn(quick_n if quick else full_n))
-        return out
-    finally:
-        PARALLEL_WORKERS = 0
+              names: List[str] | None = None) -> List[Dict]:
+    """Run the selected cases; returns one result dict per case."""
+    out = []
+    for name, (fn, quick_n, full_n) in CASES.items():
+        if names and name not in names:
+            continue
+        out.append(fn(quick_n if quick else full_n))
+    return out

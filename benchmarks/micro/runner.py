@@ -10,21 +10,12 @@ The regression check compares per-case *speedups* (batched vs boxed in
 the same process), not absolute seconds, so it is robust to the host CI
 runner being faster or slower than the machine that produced the
 baseline.
-
-``--parallel N`` adds a third leg to the dataflow cases: the batched
-pipeline on an N-worker process pool (``repro.dataflow.pool``),
-reported as ``parallel_s`` / ``parallel_speedup`` with the host's core
-count.  The parallel speedup is gated like the batched one, but only
-when the measuring host actually has >= N cores — an undersized host
-(e.g. a 1-core container) cannot show multi-core speedup, so there the
-numbers are recorded as informational only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,19 +44,6 @@ def check_regression(results: list, baseline_path: Path,
                 f"{floor:.2f}x (baseline {base['speedup']:.2f}x "
                 f"- {max_regression:.0%} allowance)"
             )
-        # The parallel axis is gated only on hosts with enough cores to
-        # express it; a 1-core container records it as informational.
-        if "parallel_speedup" in case and "parallel_speedup" in base:
-            workers = case.get("parallel_workers", 0)
-            if case.get("host_cores", 0) >= workers > 0:
-                pfloor = base["parallel_speedup"] * (1.0 - max_regression)
-                if case["parallel_speedup"] < pfloor:
-                    failures.append(
-                        f"{case['name']}: parallel speedup "
-                        f"{case['parallel_speedup']:.2f}x < {pfloor:.2f}x "
-                        f"(baseline {base['parallel_speedup']:.2f}x "
-                        f"- {max_regression:.0%} allowance)"
-                    )
     return failures
 
 
@@ -82,9 +60,6 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--case", action="append", dest="cases",
                         choices=sorted(CASES), default=None,
                         help="run only this case (repeatable)")
-    parser.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="also time the batched dataflow cases on an "
-                             "N-worker process pool (0 = axis off)")
     parser.add_argument("--merge-metrics", default=None, metavar="BASELINE",
                         help="update only the per-case 'metrics' snapshots "
                              "in BASELINE, keeping its timing numbers "
@@ -92,8 +67,7 @@ def main(argv: list | None = None) -> int:
                              "host-independent; the timings are not)")
     args = parser.parse_args(argv)
 
-    results = run_cases(quick=args.quick, names=args.cases,
-                        parallel=args.parallel)
+    results = run_cases(quick=args.quick, names=args.cases)
 
     if args.merge_metrics:
         base_path = Path(args.merge_metrics)
@@ -109,8 +83,6 @@ def main(argv: list | None = None) -> int:
     payload = {
         "bench": "psgraph-columnar-micro",
         "mode": "quick" if args.quick else "full",
-        "parallel_workers": args.parallel,
-        "host_cores": os.cpu_count() or 1,
         "cases": results,
     }
     out_path = Path(args.out)
@@ -118,15 +90,9 @@ def main(argv: list | None = None) -> int:
 
     width = max(len(c["name"]) for c in results)
     for c in results:
-        line = (f"{c['name']:{width}s}  {c['records']:>8,} rec  "
-                f"boxed {c['boxed_s']:8.3f}s  "
-                f"batched {c['batched_s']:8.3f}s  "
-                f"{c['speedup']:6.2f}x  {c['records_per_s']:>12,} rec/s")
-        if "parallel_s" in c:
-            line += (f"  pool[{c['parallel_workers']}] "
-                     f"{c['parallel_s']:8.3f}s "
-                     f"{c['parallel_speedup']:5.2f}x")
-        print(line)
+        print(f"{c['name']:{width}s}  {c['records']:>8,} rec  "
+              f"boxed {c['boxed_s']:8.3f}s  batched {c['batched_s']:8.3f}s  "
+              f"{c['speedup']:6.2f}x  {c['records_per_s']:>12,} rec/s")
     print(f"wrote {out_path}")
 
     if args.check:

@@ -97,16 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--speculation", action="store_true",
                         help="enable speculative execution for straggler "
                              "executors")
-    parser.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="run stage tasks on N worker processes "
-                             "(wall-clock only; sim time, metrics and "
-                             "results are bit-identical to serial — see "
-                             "docs/performance.md)")
-    parser.add_argument("--pool-start", default="fork",
-                        choices=("fork", "spawn", "forkserver"),
-                        help="multiprocessing start method for --parallel "
-                             "workers (non-fork methods fall back to "
-                             "serial when the job graph cannot pickle)")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="N",
                         help="PS auto-checkpoint interval in iterations "
@@ -161,9 +151,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     with PSGraphContext(cluster, app_name=f"cli-{args.algorithm}",
                         tracer=tracer,
                         checkpoint_interval=checkpoint_every,
-                        speculation=args.speculation,
-                        parallel=args.parallel,
-                        pool_start_method=args.pool_start) as ctx:
+                        speculation=args.speculation) as ctx:
         ctx.hdfs.write_text("/input/edges/part-00000", lines)
         collector = None
         if args.telemetry is not None:

@@ -189,147 +189,6 @@ class RecordBatch:
 
 
 # ----------------------------------------------------------------------
-# shared-memory column transport (used by repro.dataflow.pool)
-# ----------------------------------------------------------------------
-#
-# A forked pool worker ships columnar batches back to the driver by
-# copying their numpy columns into one POSIX shared-memory segment and
-# sending only (segment name, column descriptors) through the pipe; the
-# driver maps the segment zero-copy, adopts the columns into private
-# arrays, and unlinks the segment.  Lifecycle contract:
-#
-#   * the *exporter* creates the segment, is untracked from the
-#     ``resource_tracker`` (the importer owns destruction), and calls
-#     ``close()`` once the descriptors have been delivered;
-#   * the *importer* attaches, copies the columns out, then ``close()`` +
-#     ``unlink()`` — exactly once, even for packages it later discards.
-#
-# Boxed (non-columnar) batches cannot be exported; callers fall back to
-# pickling those through the pipe (counted by ``dataflow.pool``).
-
-#: Byte alignment of each column inside a shared-memory segment.
-SHM_ALIGN = 16
-
-
-def _shm_untrack(shm: Any) -> None:
-    """Detach a freshly *created* ``shm`` from the resource tracker.
-
-    The exporter hands segment ownership to the importer over a pipe, so
-    the exporting process must not let its tracker unlink the segment when
-    the process exits (pool workers leave via ``os._exit``).  Attach-side
-    registration is left alone: ``SharedMemory.unlink()`` unregisters, so
-    the importer's register/unregister pair balances on its own.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def shm_discard(shm: Any) -> None:
-    """Destroy an exported-but-never-sent segment in the exporting process.
-
-    Re-registers the (untracked) name first so the unregister inside
-    ``unlink()`` finds a matching entry in the tracker's cache.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.register(shm._name, "shared_memory")
-    except Exception:
-        pass
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already destroyed
-        pass
-
-
-def shm_export(batches: Sequence[RecordBatch]) -> Tuple[Any, int, List[Tuple]]:
-    """Copy the columns of columnar batches into one shared-memory segment.
-
-    Returns ``(shm, nbytes, descriptors)`` where ``descriptors[i]`` is
-    ``((key_offset, key_dtype, key_shape), (val_offset, val_dtype,
-    val_shape))`` for ``batches[i]``.  The caller must ``close()`` the
-    returned segment after the descriptors have been sent; the importer
-    unlinks it (see module comment for the full lifecycle).
-
-    Raises ``ValueError`` if any batch is not columnar.
-    """
-    from multiprocessing import shared_memory
-
-    plan: List[Tuple[int, np.ndarray, int, np.ndarray]] = []
-    total = 0
-    for b in batches:
-        if not b.is_columnar:
-            raise ValueError("shm_export requires columnar batches")
-        keys = np.ascontiguousarray(b.keys)
-        values = np.ascontiguousarray(b.values)
-        koff = -(-total // SHM_ALIGN) * SHM_ALIGN
-        voff = -(-(koff + keys.nbytes) // SHM_ALIGN) * SHM_ALIGN
-        total = voff + values.nbytes
-        plan.append((koff, keys, voff, values))
-    shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    _shm_untrack(shm)
-    descriptors: List[Tuple] = []
-    for koff, keys, voff, values in plan:
-        for off, arr in ((koff, keys), (voff, values)):
-            if arr.nbytes:
-                view = np.frombuffer(
-                    shm.buf, dtype=arr.dtype, count=arr.size, offset=off
-                )
-                view[:] = arr.reshape(-1)
-                del view
-        descriptors.append((
-            (koff, str(keys.dtype), keys.shape),
-            (voff, str(values.dtype), values.shape),
-        ))
-    return shm, total, descriptors
-
-
-def _shm_read_column(buf: Any, desc: Tuple) -> np.ndarray:
-    offset, dtype, shape = desc
-    count = int(np.prod(shape)) if shape else 1
-    if count == 0:
-        return np.empty(shape, dtype=np.dtype(dtype))
-    view = np.frombuffer(buf, dtype=np.dtype(dtype), count=count,
-                         offset=offset)
-    out = view.reshape(shape).copy()
-    del view
-    return out
-
-
-def shm_import(name: str, descriptors: List[Tuple]) -> List[RecordBatch]:
-    """Adopt batches exported by :func:`shm_export` and destroy the segment.
-
-    Attaches the named segment, copies each described column pair into
-    private arrays, then closes *and unlinks* it — the importer is the
-    segment's terminal owner, so this runs exactly once per export even
-    when the adopted batches are later discarded.
-    """
-    from multiprocessing import shared_memory
-
-    # Attaching registers the name with the resource tracker; ``unlink()``
-    # below unregisters it — balanced, so no explicit untrack here.
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        out = [
-            RecordBatch(_shm_read_column(shm.buf, kdesc),
-                        _shm_read_column(shm.buf, vdesc))
-            for kdesc, vdesc in descriptors
-        ]
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double-unlink race
-            pass
-    return out
-
-
-# ----------------------------------------------------------------------
 # record-level helpers used by the metered pipeline
 # ----------------------------------------------------------------------
 
@@ -434,9 +293,16 @@ def segment_reduce(keys: np.ndarray, values: np.ndarray,
                    op: str) -> Tuple[np.ndarray, np.ndarray]:
     """Reduce ``values`` per distinct key with ``op`` ("add"/"min"/"max").
 
-    Keys come back sorted ascending; within one key the values are folded
-    in their original arrival order (stable sort + ``ufunc.reduceat``),
-    matching the boxed per-record dict fold.  Value dtype is preserved.
+    Keys come back sorted ascending; each key's values keep their arrival
+    order (stable sort) and are folded with ``ufunc.reduceat``.  Value
+    dtype is preserved.
+
+    ``min``/``max`` match the boxed per-record dict fold exactly, and so
+    does ``add`` whenever every partial sum is exactly representable (for
+    instance integer-valued data).  Otherwise ``add`` is *not* the
+    sequential fold: numpy sums a contiguous segment pairwise, so a key's
+    sum of ``n`` values can differ from the boxed fold by at most
+    ``2 * n * eps * sum(|v|)``, ``eps`` being the dtype's machine epsilon.
     """
     try:
         ufunc = COMBINE_UFUNCS[op]

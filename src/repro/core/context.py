@@ -36,11 +36,6 @@ class PSGraphContext:
             checkpoints (see docs/fault-tolerance.md).
         speculation: enable the scheduler's speculative execution for
             straggler executors (see :class:`SparkContext`).
-        parallel: process-pool width for wall-clock-parallel task
-            execution; ``None`` reads the process default (see
-            :class:`SparkContext` and ``repro.dataflow.pool``).
-        pool_start_method: ``multiprocessing`` start method for pool
-            workers (default ``fork``).
     """
 
     def __init__(self, cluster: ClusterConfig, *, sync_mode: str = "bsp",
@@ -49,14 +44,11 @@ class PSGraphContext:
                  metrics: MetricsRegistry | None = None,
                  tracer: NoopTracer = NOOP_TRACER,
                  checkpoint_interval: int = 0,
-                 speculation: bool = False,
-                 parallel: int | None = None,
-                 pool_start_method: str | None = None) -> None:
+                 speculation: bool = False) -> None:
         self.cluster = cluster
         self.spark = SparkContext(
             cluster, app_name=app_name, hdfs=hdfs, metrics=metrics,
-            tracer=tracer, speculation=speculation, parallel=parallel,
-            pool_start_method=pool_start_method,
+            tracer=tracer, speculation=speculation,
         )
         self.ps = PSContext(self.spark, sync_mode=sync_mode,
                             checkpoint_interval=checkpoint_interval)

@@ -545,9 +545,7 @@ class RDD:
 
     def collect(self) -> List[Any]:
         """Materialize every record at the driver."""
-        parts = self.ctx.scheduler.run_job(
-            self, lambda _i, it: list(it), pool_ok=True
-        )
+        parts = self.ctx.scheduler.run_job(self, lambda _i, it: list(it))
         out: List[Any] = []
         for p in parts:
             out.extend(p)
@@ -560,16 +558,14 @@ class RDD:
 
     def collect_partitions(self) -> List[List[Any]]:
         """Materialize records, one list per partition."""
-        parts = self.ctx.scheduler.run_job(
-            self, lambda _i, it: list(it), pool_ok=True
-        )
+        parts = self.ctx.scheduler.run_job(self, lambda _i, it: list(it))
         self.ctx.charge_driver_result(sum(records_nbytes(p) for p in parts))
         return parts
 
     def count(self) -> int:
         """Number of records."""
         parts = self.ctx.scheduler.run_job(
-            self, lambda _i, it: sum(1 for _ in it), pool_ok=True
+            self, lambda _i, it: sum(1 for _ in it)
         )
         return sum(parts)
 
@@ -587,7 +583,7 @@ class RDD:
     def take(self, n: int) -> List[Any]:
         """Up to ``n`` records in partition order."""
         parts = self.ctx.scheduler.run_job(
-            self, lambda _i, it: list(itertools.islice(it, n)), pool_ok=True
+            self, lambda _i, it: list(itertools.islice(it, n))
         )
         out: List[Any] = []
         for p in parts:
@@ -606,7 +602,7 @@ class RDD:
                 seen = True
             return [acc] if seen else []
 
-        parts = self.ctx.scheduler.run_job(self, part_reduce, pool_ok=True)
+        parts = self.ctx.scheduler.run_job(self, part_reduce)
         flat = [x for p in parts for x in p]
         if not flat:
             raise ValueError("reduce of empty RDD")
@@ -623,7 +619,7 @@ class RDD:
                 acc = f(acc, x)
             return acc
 
-        parts = self.ctx.scheduler.run_job(self, part_fold, pool_ok=True)
+        parts = self.ctx.scheduler.run_job(self, part_fold)
         acc = zero
         for p in parts:
             acc = f(acc, p)
@@ -638,7 +634,7 @@ class RDD:
                 acc = seq(acc, x)
             return acc
 
-        parts = self.ctx.scheduler.run_job(self, part_agg, pool_ok=True)
+        parts = self.ctx.scheduler.run_job(self, part_agg)
         acc = zero
         for p in parts:
             acc = comb(acc, p)
@@ -675,7 +671,7 @@ class RDD:
         def part_smallest(_i: int, it: Iterator[Any]) -> List[Any]:
             return heapq.nsmallest(n, it, key=key)
 
-        parts = self.ctx.scheduler.run_job(self, part_smallest, pool_ok=True)
+        parts = self.ctx.scheduler.run_job(self, part_smallest)
         return heapq.nsmallest(n, (x for p in parts for x in p), key=key)
 
     def top(self, n: int,
@@ -686,7 +682,7 @@ class RDD:
         def part_largest(_i: int, it: Iterator[Any]) -> List[Any]:
             return heapq.nlargest(n, it, key=key)
 
-        parts = self.ctx.scheduler.run_job(self, part_largest, pool_ok=True)
+        parts = self.ctx.scheduler.run_job(self, part_largest)
         return heapq.nlargest(n, (x for p in parts for x in p), key=key)
 
     def stats(self) -> "StatCounter":
@@ -697,7 +693,7 @@ class RDD:
                 s.merge_value(float(x))
             return s
 
-        parts = self.ctx.scheduler.run_job(self, part_stats, pool_ok=True)
+        parts = self.ctx.scheduler.run_job(self, part_stats)
         total = StatCounter()
         for p in parts:
             total.merge_stats(p)

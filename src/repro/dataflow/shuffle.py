@@ -160,25 +160,6 @@ class ShuffleService:
             self.metrics.observe(SHUFFLE_WRITE_H, total)
         return out
 
-    def snapshot_keys(self) -> frozenset:
-        """Keys of all registered outputs (pool-worker delta baseline)."""
-        return frozenset(self._outputs)
-
-    def added_since(self, keys: frozenset
-                    ) -> Dict[Tuple[int, int], MapOutput]:
-        """Outputs registered after :meth:`snapshot_keys` returned ``keys``."""
-        return {k: v for k, v in self._outputs.items() if k not in keys}
-
-    def install(self, shuffle_id: int, map_partition: int,
-                out: MapOutput) -> None:
-        """Adopt a map output computed elsewhere (a forked pool worker).
-
-        Registers the output without charging costs or metrics: the worker
-        that produced it already recorded the write's metric events, which
-        the driver replays separately (see ``repro.dataflow.pool``).
-        """
-        self._outputs[(shuffle_id, map_partition)] = out
-
     def has_output(self, shuffle_id: int, map_partition: int,
                    live_executors: Dict[str, bool]) -> bool:
         """True if the map output exists and its owner is still alive."""

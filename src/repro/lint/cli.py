@@ -97,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-races", action="store_true",
         help="determinism: also fail when unsynchronized PS access "
              "windows are observed (default: report only)")
-    parser.add_argument(
-        "--parallel", type=int, default=0, metavar="N",
-        help="determinism: run the workloads with an N-worker task pool "
-             "(both runs; proves pool execution is bit-identical too)")
     return parser
 
 
@@ -167,22 +163,15 @@ def _run_static(args: argparse.Namespace) -> int:
 
 def _run_dynamic(args: argparse.Namespace) -> int:
     from repro.common.rng import DEFAULT_SEED
-    from repro.dataflow.pool import set_default_parallel
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    # Workloads build their contexts internally, so the pool width goes
-    # through the process default rather than a constructor argument.
-    set_default_parallel(args.parallel)
     reports = []
     failed = False
-    try:
-        for name in args.dynamic:
-            report = check_determinism(name, seed, strict=args.strict)
-            reports.append(report)
-            if not report.ok or (args.fail_on_races and report.races):
-                failed = True
-    finally:
-        set_default_parallel(0)
+    for name in args.dynamic:
+        report = check_determinism(name, seed, strict=args.strict)
+        reports.append(report)
+        if not report.ok or (args.fail_on_races and report.races):
+            failed = True
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

@@ -7,11 +7,12 @@ interprocedural summaries of :mod:`repro.lint.dataflow`:
 * **SIM101** — closure-capture safety for RDD operations: a closure
   shipped to ``map``/``filter``-family methods must not capture a
   ``SparkContext``/``PSContext``, an open resource, or a name that is
-  rebound after the closure is created (the late-binding trap that
-  turns latent under lazy or multi-process execution — the exact
-  precondition for running map tasks on a ``multiprocessing`` pool).
+  rebound after the closure is created (the late-binding trap: RDDs
+  are lazy, so the closure runs at the next action and sees the name's
+  value then, not at the call site — and Spark ships it to executors).
 * **SIM102** — unpicklable captures: locks, threads, sockets, open
-  generators and lambda-bound names cannot cross a process boundary.
+  generators and lambda-bound names cannot be serialized, so Spark
+  cannot ship a closure that captures them to an executor.
 * **SIM103** — metering contract: inside the sim subsystems, a function
   that moves bytes (file/socket IO, pickling, numpy materializations —
   directly or via a callee) must charge ``TaskCost`` / a sim clock /
@@ -179,20 +180,13 @@ def _closure_args(call: ast.Call,
     return out
 
 
-#: Methods that submit a closure to the process pool, where it must
-#: survive a fork/pickle boundary (see ``repro.dataflow.pool`` and the
-#: multiprocessing checklist in docs/static-analysis.md).
-_POOL_SUBMIT_METHODS = {"run_stage", "run_job"}
-
-
-def _rdd_calls(func: ast.AST,
-               methods: Set[str] = _RDD_METHODS) -> List[ast.Call]:
-    """Calls to closure-shipping methods inside one function body."""
+def _rdd_calls(func: ast.AST) -> List[ast.Call]:
+    """Calls to RDD closure-shipping methods inside one function body."""
     out = []
     for node in ast.walk(func):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in methods:
+                and node.func.attr in _RDD_METHODS:
             out.append(node)
     return out
 
@@ -260,7 +254,7 @@ class ClosureCaptureRule(FlowRule):
     name = "closure-capture"
     description = ("RDD closure captures a driver context, an open "
                    "resource, or a name rebound after creation (unsafe "
-                   "for process-pool execution)")
+                   "to ship to executors)")
 
     def check_flow(self, tree: ast.AST, relpath: str,
                    program: ProgramIndex) -> List[Violation]:
@@ -335,7 +329,7 @@ class ClosureCaptureRule(FlowRule):
         # (b) rebinding after closure creation: a definition of the name
         # reachable *from* the call site means some execution order has
         # the closure observe a different value than the one captured
-        # here (late binding; real once tasks are deferred to a pool).
+        # here (late binding: RDD closures run lazily, at the next action).
         all_defs = {
             n.idx for n in cfg.nodes
             if name in gen.get(n.idx, ())
@@ -366,22 +360,16 @@ class UnpicklableCaptureRule(FlowRule):
 
     id = "SIM102"
     name = "unpicklable-capture"
-    description = ("RDD or pool-submitted closure captures an unpicklable "
-                   "object (lock, thread, socket, generator, lambda) that "
-                   "cannot cross a process boundary")
-
-    #: RDD methods plus the pool submission boundary: closures handed to
-    #: ``TaskPool.run_stage`` / ``DAGScheduler.run_job`` additionally run
-    #: in forked worker processes, so the same capture rules apply (see
-    #: the multiprocessing checklist in docs/static-analysis.md).
-    _METHODS = _RDD_METHODS | _POOL_SUBMIT_METHODS
+    description = ("RDD closure captures an unpicklable object (lock, "
+                   "thread, socket, generator, lambda) that cannot cross "
+                   "a process boundary")
 
     def check_flow(self, tree: ast.AST, relpath: str,
                    program: ProgramIndex) -> List[Violation]:
         aliases = _import_aliases(tree)
         out: List[Violation] = []
         for func, _cls in iter_functions_with_class(tree):
-            calls = _rdd_calls(func, self._METHODS)
+            calls = _rdd_calls(func)
             if not calls:
                 continue
             cfg = build_cfg(func)

@@ -116,17 +116,6 @@ class NoopTracer:
         """Recorded spans (always empty for the no-op tracer)."""
         return []
 
-    def mark(self) -> int:
-        """Resume point for :meth:`since` (always 0 for the no-op tracer)."""
-        return 0
-
-    def since(self, mark: int) -> List[Span]:
-        """Spans recorded after ``mark`` (always empty for the no-op tracer)."""
-        return []
-
-    def extend(self, spans: List[Span]) -> None:
-        """Append pre-built spans (no-op)."""
-
     def clear(self) -> None:
         """Drop recorded spans (no-op)."""
 
@@ -245,23 +234,6 @@ class Tracer:
     def spans(self) -> List[Span]:
         """All recorded spans, in recording order."""
         return list(self._spans)
-
-    def mark(self) -> int:
-        """Number of spans recorded so far (a resume point for
-        :meth:`since`)."""
-        return len(self._spans)
-
-    def since(self, mark: int) -> List[Span]:
-        """Spans recorded after :meth:`mark` returned ``mark``.
-
-        The pool worker uses this to extract exactly the spans one task
-        produced, so the driver can splice them back in task order.
-        """
-        return self._spans[mark:]
-
-    def extend(self, spans: List[Span]) -> None:
-        """Append spans recorded elsewhere (pool-worker replay)."""
-        self._spans.extend(spans)
 
     def clear(self) -> None:
         """Drop every recorded span."""

@@ -111,41 +111,6 @@ def test_sim102_quiet_on_plain_values():
     assert vs == []
 
 
-def test_sim102_pool_submit_boundary_fires():
-    # Closures handed to the pool boundary (scheduler.run_job /
-    # pool.run_stage) cross a fork/pickle boundary like RDD closures do;
-    # the docs/static-analysis.md multiprocessing checklist applies.
-    vs = lint_flow("""\
-        import threading
-
-        def driver(scheduler, rdd):
-            lock = threading.Lock()
-            return scheduler.run_job(rdd, lambda p: (p, lock))
-    """)
-    assert rule_ids(vs) == ["SIM102"]
-    assert "threading.Lock" in vs[0].message
-
-
-def test_sim102_pool_run_stage_generator_capture():
-    vs = lint_flow("""\
-        def driver(pool, ctx, items):
-            feed = (i * 2 for i in items)
-            return pool.run_stage(ctx, 0, [0, 1],
-                                  lambda p, tctx: next(feed))
-    """)
-    assert rule_ids(vs) == ["SIM102"]
-    assert "generator" in vs[0].message
-
-
-def test_sim102_pool_submit_quiet_on_plain_values():
-    vs = lint_flow("""\
-        def driver(scheduler, rdd):
-            factor = 2.0
-            return scheduler.run_job(rdd, lambda p: [x * factor for x in p])
-    """)
-    assert vs == []
-
-
 # ----------------------------------------------------------------------
 # SIM103 metering contract
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for repro.obs (tracing, exporters) and the metrics extensions."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.common import metrics as metrics_module
 from repro.common.config import ClusterConfig, MB
 from repro.common.metrics import MetricsRegistry
 from repro.common.simclock import SimClock, TaskCost
@@ -375,6 +377,19 @@ class TestMetricsDump:
         assert doc["counters"]["c"] == 2.0
         assert doc["histograms"]["h"]["count"] == 1
         assert doc["gauges"]["g"]["value"] == 3.0
+
+
+class TestMetricCatalogue:
+    def test_every_well_known_name_is_documented(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs"
+               / "observability.md").read_text(encoding="utf-8")
+        names = sorted(
+            value for key, value in vars(metrics_module).items()
+            if key.isupper() and isinstance(value, str) and "." in value
+        )
+        assert names
+        missing = [n for n in names if f"`{n}`" not in doc]
+        assert missing == []
 
 
 # ----------------------------------------------------------------------
